@@ -28,6 +28,13 @@ from repro.core.runtime import BindFlag
 from repro.sim.primitives import TaskQueue
 from repro.sim.syscalls import FutexWait
 
+# Bound once: the pool reports four state events per task.
+_PREPARE = StateEvent.PREPARE
+_ENTER = StateEvent.ENTER
+_HOLD = StateEvent.HOLD
+_UNHOLD = StateEvent.UNHOLD
+_SHARED_THREAD = BindFlag.SHARED_THREAD
+
 
 class Task:
     """One queued unit of work: a request on behalf of a connection.
@@ -114,7 +121,7 @@ class PBoxWorkerPool:
         pbox = self._pbox_of(task)
         if pbox is not None:
             self.manager.activate(pbox)
-            self.manager.update(pbox, self, StateEvent.PREPARE)
+            self.manager.update(pbox, self, _PREPARE)
         self.queue.put(task)
         if self._tp_enqueue.active:
             self._tp_enqueue.fire(
@@ -157,21 +164,21 @@ class PBoxWorkerPool:
                 )
             pbox = self._pbox_of(task)
             if pbox is not None:
-                self.manager.update(pbox, self, StateEvent.ENTER)
-                self.manager.update(pbox, self, StateEvent.HOLD)
+                self.manager.update(pbox, self, _ENTER)
+                self.manager.update(pbox, self, _HOLD)
             # Ownership transfer: bind the connection's pBox to this
             # worker for the duration of the task (lazy unbind applies
             # when the same worker processes the same connection again).
             bound = self.runtime.bind_pbox(
-                task.connection.bind_key, BindFlag.SHARED_THREAD
+                task.connection.bind_key, _SHARED_THREAD
             )
             yield from self.handler(task)
             if bound != -1:
                 self.runtime.unbind_pbox(
-                    task.connection.bind_key, BindFlag.SHARED_THREAD
+                    task.connection.bind_key, _SHARED_THREAD
                 )
             if pbox is not None:
-                self.manager.update(pbox, self, StateEvent.UNHOLD)
+                self.manager.update(pbox, self, _UNHOLD)
                 self.manager.freeze(pbox)
             task.done = True
             task.finished_at_us = self.kernel.now_us
@@ -216,7 +223,7 @@ class EventDrivenConnection(Connection):
         """Create the pBox and park it under ``bind_key``."""
         self.psid = self.runtime.create_pbox(self.app.config.make_rule())
         if self.psid != -1:
-            self.runtime.unbind_pbox(self.bind_key, BindFlag.SHARED_THREAD)
+            self.runtime.unbind_pbox(self.bind_key, _SHARED_THREAD)
         return
         yield  # pragma: no cover - keeps this a generator
 

@@ -25,6 +25,19 @@ from repro.core.pbox import ActivityRecord, PBox, PBoxStatus
 from repro.core.penalty import AdaptivePenalty
 from repro.core.rules import Metric
 
+# Enum members bound once and compared by identity: update() and
+# freeze() run on every state event and activity, and a module global
+# is several times cheaper to read than an enum class attribute.
+_PREPARE = StateEvent.PREPARE
+_ENTER = StateEvent.ENTER
+_HOLD = StateEvent.HOLD
+_UNHOLD = StateEvent.UNHOLD
+_ACTIVE = PBoxStatus.ACTIVE
+_FROZEN = PBoxStatus.FROZEN
+_DESTROYED = PBoxStatus.DESTROYED
+_AVERAGE = Metric.AVERAGE
+_TAIL = Metric.TAIL
+
 # Sentinel resource key for pBox-level (freeze-time) actions that cannot
 # be attributed to a specific resource.
 PBOX_LEVEL_KEY = "__pbox_level__"
@@ -232,11 +245,11 @@ class PBoxManager:
 
     def release(self, pbox):
         """Destroy a pBox, detaching it from maps and its thread."""
-        if pbox.status is PBoxStatus.DESTROYED:
+        if pbox.status is _DESTROYED:
             return
-        if pbox.status is PBoxStatus.ACTIVE:
+        if pbox.status is _ACTIVE:
             self.freeze(pbox)
-        pbox.status = PBoxStatus.DESTROYED
+        pbox.status = _DESTROYED
         for key in list(self.competitor_map):
             entries = self.competitor_map[key]
             entries[:] = [entry for entry in entries if entry.pbox is not pbox]
@@ -266,7 +279,7 @@ class PBoxManager:
         for key in list(pbox.prepares):
             self._remove_competitor(key, pbox)
         pbox.prepares.clear()
-        pbox.status = PBoxStatus.ACTIVE
+        pbox.status = _ACTIVE
         pbox.activity_start_us = self.kernel.now_us
         pbox.defer_time_us = 0
         if self._tp_activate.active:
@@ -282,33 +295,33 @@ class PBoxManager:
 
     def freeze(self, pbox):
         """Stop tracing the current activity and run pBox-level detection."""
-        if pbox.status is not PBoxStatus.ACTIVE:
+        if pbox.status is not _ACTIVE:
             return
-        now = self.kernel.now_us
-        exec_us = pbox.exec_time_us(now)
-        record = ActivityRecord(pbox.defer_time_us, exec_us)
-        pbox.history.append(record)
-        pbox.total_defer_us += record.defer_us
-        pbox.total_exec_us += record.exec_us
+        now = self.kernel.clock.now_us
+        psid = pbox.psid
+        defer_us = pbox.defer_time_us
+        exec_us = now - pbox.activity_start_us
+        pbox.history.append(ActivityRecord(defer_us, exec_us))
+        pbox.total_defer_us += defer_us
+        pbox.total_exec_us += exec_us
         pbox.activities_completed += 1
-        pbox.status = PBoxStatus.FROZEN
+        pbox.status = _FROZEN
         if self._tp_freeze.active:
-            self._tp_freeze.fire(now, psid=pbox.psid,
-                                 defer_us=record.defer_us,
-                                 exec_us=record.exec_us)
+            self._tp_freeze.fire(now, psid=psid, defer_us=defer_us,
+                                 exec_us=exec_us)
         # A freeze dirties the pBox: it is the state change freeze-time
         # detection exists for, and marking it here guarantees a
         # deferred scan always re-evaluates a pBox whose activity ended
         # after the last drain -- even if no state event fired since.
-        self.dirty_psids.add(pbox.psid)
-        self.active_psids.add(pbox.psid)
+        self.dirty_psids.add(psid)
+        self.active_psids.add(psid)
         if self.enabled and self.scan_policy == "eager":
             # Eager mode: a one-psid dirty-set scan triggered by this
             # freeze.  Evaluating exactly the frozen pBox here is
             # byte-identical to the historical inline detection (the
             # golden corpus pins it); deferred mode leaves the set to
             # accumulate for a batched scan() drain.
-            self.dirty_psids.discard(pbox.psid)
+            self.dirty_psids.discard(psid)
             self.scan_stats["scans"] += 1
             self.scan_stats["evaluated"] += 1
             self._pbox_level_detection(pbox)
@@ -345,7 +358,7 @@ class PBoxManager:
         evaluated = 0
         for psid in pending:
             pbox = self._pboxes.get(psid)
-            if pbox is None or pbox.status is not PBoxStatus.FROZEN:
+            if pbox is None or pbox.status is not _FROZEN:
                 stats["skipped_clean"] += 1
                 continue
             self._pbox_level_detection(pbox)
@@ -392,7 +405,7 @@ class PBoxManager:
     def update(self, pbox, key, event):
         """Process one state event (the kernel side of update_pbox)."""
         self.stats["events"] += 1
-        now = self.kernel.now_us
+        now = self.kernel.clock.now_us
         # Fire before marking the dirty/active sets: a subscriber's
         # window roll (telemetry) must close the outgoing window
         # *without* this event's psid -- an event landing exactly on a
@@ -400,10 +413,11 @@ class PBoxManager:
         # double-counted the pBox in both.
         if self._tp_event.active:
             self._tp_event.fire(now, pbox=pbox, key=key, event=event)
-        self.dirty_psids.add(pbox.psid)
-        self.active_psids.add(pbox.psid)
+        psid = pbox.psid
+        self.dirty_psids.add(psid)
+        self.active_psids.add(psid)
 
-        if event is StateEvent.PREPARE:
+        if event is _PREPARE:
             if key in pbox.prepares:
                 # A pBox waits on a key at most once at a time; a
                 # duplicate PREPARE means the matching ENTER annotation
@@ -415,14 +429,14 @@ class PBoxManager:
             )
             return
 
-        if event is StateEvent.ENTER:
+        if event is _ENTER:
             pbox.prepares.pop(key, None)
             entries = self.competitor_map.get(key)
             if not entries:
                 return
-            for entry in entries:
+            for index, entry in enumerate(entries):
                 if entry.pbox is pbox:
-                    entries.remove(entry)
+                    del entries[index]
                     defer = now - entry.time_us
                     pbox.defer_time_us += defer
                     self._attribute_blame(pbox, key, defer)
@@ -431,24 +445,24 @@ class PBoxManager:
                 self.competitor_map.pop(key, None)
             return
 
-        if event is StateEvent.HOLD:
+        if event is _HOLD:
             pbox.holders[key] = now
             holders = self._key_holders.get(key)
             if holders is None:
                 holders = self._key_holders[key] = {}
-            holders[pbox.psid] = pbox
+            holders[psid] = pbox
             return
 
-        if event is StateEvent.UNHOLD:
+        if event is _UNHOLD:
             hold_start = pbox.holders.pop(key, None)
             if hold_start is None:
                 return
             holders = self._key_holders.get(key)
             if holders is not None:
-                holders.pop(pbox.psid, None)
+                holders.pop(psid, None)
                 if not holders:
                     del self._key_holders[key]
-            self.last_releaser[key] = (pbox.psid, now)
+            self.last_releaser[key] = (psid, now)
             if self.enabled and self.early_detection:
                 self._detect_on_unhold(pbox, key, hold_start, now)
             return
@@ -489,7 +503,7 @@ class PBoxManager:
         victim_defer = 0
         for entry in entries:
             waiter = entry.pbox
-            if waiter is holder or waiter.status is not PBoxStatus.ACTIVE:
+            if waiter is holder or waiter.status is not _ACTIVE:
                 continue
             open_defer = now - entry.time_us
             total_defer = waiter.defer_time_us + open_defer
@@ -518,9 +532,9 @@ class PBoxManager:
         (noisy pBox, key) pair recorded during recent activities.
         """
         metric = pbox.rule.metric
-        if metric is Metric.AVERAGE:
+        if metric is _AVERAGE:
             level = pbox.average_interference_level()
-        elif metric is Metric.TAIL:
+        elif metric is _TAIL:
             level = pbox.tail_interference_level()
         else:
             level = pbox.max_interference_level()

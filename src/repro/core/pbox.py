@@ -35,6 +35,55 @@ class ActivityRecord:
         )
 
 
+class ActivityWindow(deque):
+    """Bounded activity history that keeps its defer/exec sums current.
+
+    A ``deque`` of :class:`ActivityRecord` with ``maxlen`` whose
+    ``append`` adds the new record to ``defer_sum``/``exec_sum`` and
+    subtracts the one it evicts, so the history-averaged interference
+    level every freeze evaluates costs O(1) instead of two sums over
+    the window.  ``append``, ``extend`` and ``clear`` are the mutators
+    that keep the sums exact, so the other deque mutators raise;
+    records are not edited in place.
+    """
+
+    def __init__(self, iterable=(), maxlen=None):
+        super().__init__((), maxlen)
+        self.defer_sum = 0
+        self.exec_sum = 0
+        self.extend(iterable)
+
+    def append(self, record):
+        if len(self) == self.maxlen:
+            evicted = self[0]
+            self.defer_sum -= evicted.defer_us
+            self.exec_sum -= evicted.exec_us
+        deque.append(self, record)
+        self.defer_sum += record.defer_us
+        self.exec_sum += record.exec_us
+
+    def extend(self, records):
+        for record in records:
+            self.append(record)
+
+    def clear(self):
+        deque.clear(self)
+        self.defer_sum = 0
+        self.exec_sum = 0
+
+    def _unsummed(self, *args):
+        raise TypeError("ActivityWindow only supports append, extend "
+                        "and clear")
+
+    appendleft = extendleft = insert = pop = popleft = remove = _unsummed
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _unsummed
+
+    def __reduce__(self):
+        # Rebuild through __init__ so copies and pickles recompute the
+        # sums instead of restoring them and then re-adding every item.
+        return type(self), (list(self), self.maxlen)
+
+
 class PBox:
     """One performance isolation domain.
 
@@ -57,7 +106,7 @@ class PBox:
         self.prepares = {}              # resource key -> prepare time (open)
 
         # --- cross-activity accounting ---------------------------------
-        self.history = deque(maxlen=self.HISTORY_WINDOW)
+        self.history = ActivityWindow(maxlen=self.HISTORY_WINDOW)
         self.activities_completed = 0
         self.total_defer_us = 0
         self.total_exec_us = 0
@@ -104,8 +153,9 @@ class PBox:
 
     def average_interference_level(self):
         """Mean interference level over the activity history window."""
-        td = sum(rec.defer_us for rec in self.history)
-        te = sum(rec.exec_us for rec in self.history)
+        history = self.history
+        td = history.defer_sum
+        te = history.exec_sum
         if td <= 0:
             return 0.0
         if te <= td:

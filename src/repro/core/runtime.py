@@ -23,12 +23,24 @@ import enum
 from repro.core.events import StateEvent
 from repro.core.pbox import PBoxStatus
 
+# Enum members bound once: update_pbox runs on every virtual-resource
+# transition, and a module global is several times cheaper to read than
+# an enum class attribute.
+_PREPARE = StateEvent.PREPARE
+_ENTER = StateEvent.ENTER
+_HOLD = StateEvent.HOLD
+_UNHOLD = StateEvent.UNHOLD
+_ACTIVE = PBoxStatus.ACTIVE
+
 
 class BindFlag(enum.Enum):
     """Flags for bind_pbox / unbind_pbox (event-driven support)."""
 
     DEDICATED_THREAD = "dedicated"
     SHARED_THREAD = "shared"
+
+
+_SHARED_THREAD = BindFlag.SHARED_THREAD
 
 
 class OperationCosts:
@@ -84,7 +96,6 @@ class PBoxRuntime:
         self.call_filter = call_filter
         self.enabled = enabled
         self._detached = {}       # key -> pBox parked by unbind_pbox
-        self._residual_ns = {}    # thread -> fractional cost carry
         self.stats = {
             "update_calls": 0,
             "update_syscalls": 0,
@@ -97,17 +108,20 @@ class PBoxRuntime:
     # ------------------------------------------------------------------
 
     def _charge_ns(self, ns):
-        """Charge a nanosecond cost, carrying sub-microsecond residue."""
+        """Charge a nanosecond cost, carrying sub-microsecond residue.
+
+        The residue rides on the charged thread (``pbox_residue_ns``),
+        so it lives and dies with the thread.
+        """
         if ns <= 0:
             return
         thread = self.kernel.current_thread
         if thread is None:
             return
-        total = self._residual_ns.get(thread.tid, 0) + ns
-        whole_us, residue = divmod(total, 1_000)
+        whole_us, thread.pbox_residue_ns = divmod(
+            thread.pbox_residue_ns + ns, 1_000)
         if whole_us:
             self.kernel.charge_current(whole_us)
-        self._residual_ns[thread.tid] = residue
 
     def _current_pbox(self):
         thread = self.kernel.current_thread
@@ -176,32 +190,28 @@ class PBoxRuntime:
             return
         if self.call_filter is not None and not self.call_filter(key, event):
             return
-        self.stats["update_calls"] += 1
+        stats = self.stats
+        stats["update_calls"] += 1
         pbox = self._current_pbox()
         if pbox is None or pbox.detached:
             return
-        if pbox.status is not PBoxStatus.ACTIVE and event in (
-            StateEvent.PREPARE,
-            StateEvent.ENTER,
-        ):
+        if pbox.status is not _ACTIVE and (event is _PREPARE
+                                           or event is _ENTER):
             # Tracing only runs while active (Section 4.3.2); holder
             # bookkeeping still matters for safe penalty timing.
             self._charge_ns(self.costs.library_ns)
             return
-        if event is StateEvent.HOLD and key in pbox.holders:
-            self.stats["saved_syscalls"] += 1
+        if (event is _HOLD and key in pbox.holders) or (
+                event is _UNHOLD and key not in pbox.holders):
+            stats["saved_syscalls"] += 1
             self._charge_ns(self.costs.library_ns)
             return
-        if event is StateEvent.UNHOLD and key not in pbox.holders:
-            self.stats["saved_syscalls"] += 1
-            self._charge_ns(self.costs.library_ns)
-            return
-        contended = self.manager.contended(key, pbox)
-        self._charge_ns(
-            self.costs.update_contended_ns if contended else self.costs.update_ns
-        )
-        self.stats["update_syscalls"] += 1
-        self.manager.update(pbox, key, event)
+        manager = self.manager
+        costs = self.costs
+        self._charge_ns(costs.update_contended_ns
+                        if manager.contended(key, pbox) else costs.update_ns)
+        stats["update_syscalls"] += 1
+        manager.update(pbox, key, event)
 
     def unbind_pbox(self, key, flags=BindFlag.DEDICATED_THREAD):
         """Detach the current thread's pBox and park it under ``key``.
@@ -217,7 +227,7 @@ class PBoxRuntime:
             return -1
         self._charge_ns(self.costs.library_ns)
         pbox.detached = True
-        pbox.shared_thread = flags is BindFlag.SHARED_THREAD
+        pbox.shared_thread = flags is _SHARED_THREAD
         self._detached[key] = pbox
         return pbox.psid
 
@@ -240,7 +250,7 @@ class PBoxRuntime:
             self._charge_ns(self.costs.bind_ns)
             pbox.detached = False
             self.manager.bind(
-                pbox, thread, shared=flags is BindFlag.SHARED_THREAD
+                pbox, thread, shared=flags is _SHARED_THREAD
             )
         del self._detached[key]
         return pbox.psid

@@ -125,11 +125,14 @@ class PBoxTracer:
 
     def on_event(self, time_us, pbox, key, event):
         """Record one state event (cheap counter unless record_events)."""
-        self.event_counts[event.value] += 1
+        # ``_value_`` is the enum member's plain attribute: ``.value``
+        # is a descriptor call on every state event.
+        value = event._value_
+        self.event_counts[value] += 1
         if self.record_events:
             self._append(
                 self._event_records,
-                TraceRecord(time_us, "event", pbox.psid, key, event.value),
+                TraceRecord(time_us, "event", pbox.psid, key, value),
             )
 
     def on_detection(self, time_us, noisy, victim, key):

@@ -442,7 +442,7 @@ class MetricsCollector:
         self.registry.gauge("pbox.live").add(-1)
 
     def _on_pbox_event(self, _name, _t, fields):
-        self.registry.inc("pbox.events.%s" % fields["event"].value)
+        self.registry.inc("pbox.events.%s" % fields["event"]._value_)
 
     def _on_detect(self, _name, _t, _f):
         self.registry.inc("pbox.detections")

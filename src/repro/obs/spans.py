@@ -50,6 +50,14 @@ class SpanRecorder:
         self._bus = None
         self._open = {}        # (track, tid, slot) -> (name, cat, start, args)
         self._seen_flows = set()
+        # Fire-time caches: the cap test counts appends instead of
+        # summing four lengths, each resource key renders its label and
+        # slot names once, and each core shares one ``{"core": i}``
+        # span-args dict (consumers copy args; see export._clean_args).
+        self._emitted = 0
+        self._vres_slots = {}  # key -> (defer slot, name, hold slot, name)
+        self._futex_names = {}  # key -> "futex:<label>"
+        self._core_args = {}   # core -> {"core": core}
 
     # -- wiring ----------------------------------------------------------
 
@@ -100,69 +108,76 @@ class SpanRecorder:
 
     # -- primitive emission ----------------------------------------------
 
-    def _full(self):
-        if self.event_count >= self.max_events:
+    def _room(self):
+        """Claim one primitive; False (and ``truncated``) at the cap."""
+        if self._emitted >= self.max_events:
             self.truncated = True
-            return True
-        return False
+            return False
+        self._emitted += 1
+        return True
 
     def _span(self, track, tid, name, cat, start, end, args=None):
-        if self._full():
-            return
-        self.spans.append((track, tid, name, cat, start,
-                           max(0, end - start), args))
+        if self._room():
+            self.spans.append((track, tid, name, cat, start,
+                               end - start if end > start else 0, args))
 
     def _instant(self, track, tid, name, cat, ts, args=None):
-        if self._full():
-            return
-        self.instants.append((track, tid, name, cat, ts, args))
-
-    def _open_span(self, track, tid, slot, name, cat, start, args=None):
-        self._open[(track, tid, slot)] = (name, cat, start, args)
+        if self._room():
+            self.instants.append((track, tid, name, cat, ts, args))
 
     def _close_span(self, track, tid, slot, end):
+        # The hot close path: _room() and _span() inlined.
         opened = self._open.pop((track, tid, slot), None)
         if opened is None:
             return
+        if self._emitted >= self.max_events:
+            self.truncated = True
+            return
+        self._emitted += 1
         name, cat, start, args = opened
-        self._span(track, tid, name, cat, start, end, args)
-
-    def _close_wait(self, tid, end):
-        for slot in ("wait",):
-            self._close_span(THREAD_TRACK, tid, slot, end)
+        self.spans.append((track, tid, name, cat, start,
+                           end - start if end > start else 0, args))
 
     # -- scheduler / kernel ----------------------------------------------
 
     def _on_switch(self, _name, now, fields):
         tid = fields["tid"]
-        self.thread_names.setdefault(tid, fields.get("name") or
-                                     "thread-%d" % tid)
+        names = self.thread_names
+        if tid not in names:
+            names[tid] = fields.get("name") or "thread-%d" % tid
         if self.record_slices:
-            self._open_span(THREAD_TRACK, tid, "run", "running", "sched",
-                            now, {"core": fields.get("core")})
+            core = fields.get("core")
+            args = self._core_args.get(core)
+            if args is None:
+                args = self._core_args[core] = {"core": core}
+            self._open[(THREAD_TRACK, tid, "run")] = (
+                "running", "sched", now, args)
 
     def _on_switchout(self, _name, now, fields):
         self._close_span(THREAD_TRACK, fields["tid"], "run", now)
 
     def _on_enqueue(self, _name, now, fields):
-        self._close_wait(fields["tid"], now)
+        self._close_span(THREAD_TRACK, fields["tid"], "wait", now)
 
     def _on_sleep(self, _name, now, fields):
-        self._open_span(THREAD_TRACK, fields["tid"], "wait", "sleep",
-                        "sched", now, {"us": fields.get("us")})
+        self._open[(THREAD_TRACK, fields["tid"], "wait")] = (
+            "sleep", "sched", now, {"us": fields.get("us")})
 
     def _on_futex_wait(self, _name, now, fields):
-        label = "futex:%s" % key_label(fields.get("key"))
-        self._open_span(THREAD_TRACK, fields["tid"], "wait", label,
-                        "futex", now)
+        key = fields.get("key")
+        name = self._futex_names.get(key)
+        if name is None:
+            name = self._futex_names[key] = "futex:%s" % key_label(key)
+        self._open[(THREAD_TRACK, fields["tid"], "wait")] = (
+            name, "futex", now, None)
 
     def _on_throttle(self, _name, now, fields):
-        self._open_span(THREAD_TRACK, fields["tid"], "wait",
-                        "throttled:%s" % fields.get("group"), "cgroup", now)
+        self._open[(THREAD_TRACK, fields["tid"], "wait")] = (
+            "throttled:%s" % fields.get("group"), "cgroup", now, None)
 
     def _on_unthrottle(self, _name, now, fields):
         for tid in fields["tids"]:
-            self._close_wait(tid, now)
+            self._close_span(THREAD_TRACK, tid, "wait", now)
 
     def _on_penalty_inject(self, _name, now, fields):
         self._span(THREAD_TRACK, fields["tid"], "pbox penalty", "penalty",
@@ -177,8 +192,8 @@ class SpanRecorder:
     def _on_activate(self, _name, now, fields):
         psid = fields["psid"]
         self.pbox_ids.add(psid)
-        self._open_span(PBOX_TRACK, psid, "activity", "activity",
-                        "pbox", now)
+        self._open[(PBOX_TRACK, psid, "activity")] = (
+            "activity", "pbox", now, None)
 
     def _on_freeze(self, _name, now, fields):
         psid = fields["psid"]
@@ -191,21 +206,28 @@ class SpanRecorder:
         self._span(PBOX_TRACK, psid, name, cat, start, now, args)
 
     def _on_pbox_event(self, _name, now, fields):
-        pbox = fields["pbox"]
-        psid = pbox.psid
+        psid = fields["pbox"].psid
         self.pbox_ids.add(psid)
-        event = fields["event"].value
-        label = key_label(fields.get("key"))
+        key = fields.get("key")
+        slots = self._vres_slots.get(key)
+        if slots is None:
+            label = key_label(key)
+            slots = self._vres_slots[key] = (
+                ("defer", label), "defer:%s" % label,
+                ("hold", label), "hold:%s" % label)
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # Python-level descriptor call on every state event.
+        event = fields["event"]._value_
         if event == "prepare":
-            self._open_span(PBOX_TRACK, psid, ("defer", label),
-                            "defer:%s" % label, "vres", now)
+            self._open[(PBOX_TRACK, psid, slots[0])] = (
+                slots[1], "vres", now, None)
         elif event == "enter":
-            self._close_span(PBOX_TRACK, psid, ("defer", label), now)
+            self._close_span(PBOX_TRACK, psid, slots[0], now)
         elif event == "hold":
-            self._open_span(PBOX_TRACK, psid, ("hold", label),
-                            "hold:%s" % label, "vres", now)
+            self._open[(PBOX_TRACK, psid, slots[2])] = (
+                slots[3], "vres", now, None)
         elif event == "unhold":
-            self._close_span(PBOX_TRACK, psid, ("hold", label), now)
+            self._close_span(PBOX_TRACK, psid, slots[2], now)
 
     def _on_detect(self, _name, now, fields):
         noisy = fields["noisy"]
@@ -213,7 +235,7 @@ class SpanRecorder:
         args = {"victim": victim.psid, "key": key_label(fields.get("key"))}
         self._instant(PBOX_TRACK, noisy.psid, "detect", "pbox", now, args)
         flow = fields.get("flow")
-        if flow is not None and not self._full():
+        if flow is not None and self._room():
             self.flow_starts.append((PBOX_TRACK, noisy.psid, flow, now))
             self._seen_flows.add(flow)
 
@@ -231,9 +253,8 @@ class SpanRecorder:
         self._span(PBOX_TRACK, psid, "penalty", "penalty", now,
                    now + delay, {"mode": fields.get("mode")})
         flow = fields.get("flow")
-        if flow is not None and flow in self._seen_flows:
-            if not self._full():
-                self.flow_ends.append((PBOX_TRACK, psid, flow, now))
+        if flow is not None and flow in self._seen_flows and self._room():
+            self.flow_ends.append((PBOX_TRACK, psid, flow, now))
 
     # -- event-driven pools ----------------------------------------------
 
@@ -241,8 +262,8 @@ class SpanRecorder:
         psid = fields.get("psid")
         if psid is not None and psid >= 0:
             self.pbox_ids.add(psid)
-            self._open_span(PBOX_TRACK, psid, "queued",
-                            "queued:%s" % fields.get("pool"), "pool", now)
+            self._open[(PBOX_TRACK, psid, "queued")] = (
+                "queued:%s" % fields.get("pool"), "pool", now, None)
 
     def _on_pool_dispatch(self, _name, now, fields):
         psid = fields.get("psid")
@@ -254,12 +275,13 @@ class SpanRecorder:
     def _on_req_begin(self, _name, now, fields):
         tid = fields["tid"]
         rid = fields["rid"]
-        self._open_span(THREAD_TRACK, tid, "req", "req %d" % rid, "req",
-                        now, {"rid": rid, "tenant": fields.get("tenant")})
+        self._open[(THREAD_TRACK, tid, "req")] = (
+            "req %d" % rid, "req", now,
+            {"rid": rid, "tenant": fields.get("tenant")})
         # Flow start: paired with the worker-side req.serve when the
         # request runs on an event-driven pool (dedicated-thread
         # requests stay unpaired and are filtered by the exporter).
-        if not self._full():
+        if self._room():
             self.flow_starts.append((THREAD_TRACK, tid, "req-%d" % rid, now))
 
     def _on_req_end(self, _name, now, fields):
@@ -268,11 +290,11 @@ class SpanRecorder:
     def _on_req_serve(self, _name, now, fields):
         tid = fields["tid"]
         rid = fields["rid"]
-        self._open_span(THREAD_TRACK, tid, ("serve", rid),
-                        "serve %d" % rid, "req", now,
-                        {"rid": rid, "pool": fields.get("pool"),
-                         "queued_us": fields.get("queued_us")})
-        if not self._full():
+        self._open[(THREAD_TRACK, tid, ("serve", rid))] = (
+            "serve %d" % rid, "req", now,
+            {"rid": rid, "pool": fields.get("pool"),
+             "queued_us": fields.get("queued_us")})
+        if self._room():
             self.flow_ends.append((THREAD_TRACK, tid, "req-%d" % rid, now))
 
     def _on_req_done(self, _name, now, fields):

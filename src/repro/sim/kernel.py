@@ -71,6 +71,17 @@ from repro.sim.timerwheel import TimerWheel
 
 _BLOCKED = object()  # sentinel: the thread cannot continue synchronously
 
+# ThreadState members bound once: the dispatch and syscall paths store
+# and test them per event, and a module global is several times cheaper
+# to read than an enum class attribute.  (_WAITING is the futex/join
+# BLOCKED state; _BLOCKED above is the syscall-result sentinel.)
+_NEW = ThreadState.NEW
+_RUNNING = ThreadState.RUNNING
+_WAITING = ThreadState.BLOCKED
+_SLEEPING = ThreadState.SLEEPING
+_THROTTLED = ThreadState.THROTTLED
+_EXITED = ThreadState.EXITED
+
 
 class _Timer:
     """A cancellable entry in the event heap."""
@@ -545,7 +556,7 @@ class Kernel:
                 slice_us = min(slice_us, remaining)
         core.running = thread
         self._idle_mask &= ~core._mask_bit
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         self.stats["context_switches"] += 1
         if self._tp_switch.active:
             self._tp_switch.fire(now, tid=thread.tid,
@@ -600,7 +611,7 @@ class Kernel:
         self._resume(thread)
 
     def _throttle(self, thread, group):
-        thread.state = ThreadState.THROTTLED
+        thread.state = _THROTTLED
         group.park(thread, self.clock.now_us)
         self.stats["throttles"] += 1
         if not getattr(group, "_refresh_scheduled", False):
@@ -648,7 +659,7 @@ class Kernel:
                             self.clock.now_us, tid=thread.tid, delay_us=delay,
                             psid=None if pbox is None else pbox.psid,
                         )
-                    thread.state = ThreadState.SLEEPING
+                    thread.state = _SLEEPING
                     thread.wakeup_event = self.penalty_armer.arm(
                         self.now_us + delay,
                         lambda: self._advance(thread, send_value),
@@ -703,7 +714,7 @@ class Kernel:
         # Exact-class fast paths for the remaining hot syscalls (same
         # bodies as the isinstance chain below, minus the chain walk).
         if cls is FutexWait:
-            thread.state = ThreadState.BLOCKED
+            thread.state = _WAITING
             thread.wait_key = syscall.key
             thread.blocked_since_us = self.clock.now_us
             self.futexes.add(syscall.key, thread)
@@ -721,7 +732,7 @@ class Kernel:
             return self.now_us
 
         if cls is Sleep:
-            thread.state = ThreadState.SLEEPING
+            thread.state = _SLEEPING
             if self._tp_sleep.active:
                 self._tp_sleep.fire(self.clock.now_us, tid=thread.tid,
                                     us=syscall.us)
@@ -738,7 +749,7 @@ class Kernel:
             return _BLOCKED
 
         if isinstance(syscall, Sleep):
-            thread.state = ThreadState.SLEEPING
+            thread.state = _SLEEPING
             if self._tp_sleep.active:
                 self._tp_sleep.fire(self.clock.now_us, tid=thread.tid,
                                     us=syscall.us)
@@ -749,7 +760,7 @@ class Kernel:
             return _BLOCKED
 
         if isinstance(syscall, FutexWait):
-            thread.state = ThreadState.BLOCKED
+            thread.state = _WAITING
             thread.wait_key = syscall.key
             thread.blocked_since_us = self.clock.now_us
             self.futexes.add(syscall.key, thread)
@@ -765,7 +776,7 @@ class Kernel:
 
         if isinstance(syscall, Spawn):
             spawned = syscall.thread
-            if spawned.state is not ThreadState.NEW:
+            if spawned.state is not _NEW:
                 raise ValueError("thread %r already started" % spawned)
             self.threads.append(spawned)
             spawned.started_at_us = self.now_us
@@ -778,7 +789,7 @@ class Kernel:
             target = syscall.thread
             if not target.alive:
                 return target.return_value
-            thread.state = ThreadState.BLOCKED
+            thread.state = _WAITING
             target.joiners.append(thread)
             return _BLOCKED
 
@@ -802,7 +813,7 @@ class Kernel:
             self._enqueue(thread, compute_us=0, resume_value=False)
 
     def _exit(self, thread, value):
-        thread.state = ThreadState.EXITED
+        thread.state = _EXITED
         thread.return_value = value
         thread.exited_at_us = self.now_us
         # Robust-futex semantics: a thread must not exit while registered
@@ -860,12 +871,12 @@ class Kernel:
             thread.wakeup_event.cancel()
             thread.wakeup_event = None
         state = thread.state
-        if state is ThreadState.BLOCKED:
+        if state is _WAITING:
             if thread.wait_key is not None:
                 self.futexes.remove(thread.wait_key, thread)
                 thread.wait_key = None
             self._exit(thread, None)
-        elif state is ThreadState.SLEEPING:
+        elif state is _SLEEPING:
             self._exit(thread, None)
         # READY / RUNNING / THROTTLED threads stay owned by the scheduler:
         # when their slice or release comes, resuming the closed body
@@ -1055,7 +1066,7 @@ class IdleWatchdog:
                 suspects = [
                     thread for thread in kernel.threads
                     if thread.alive
-                    and thread.state is ThreadState.BLOCKED
+                    and thread.state is _WAITING
                     and not self._idle_wait(thread.wait_key)
                 ]
         self._last_syscalls = syscalls

@@ -23,6 +23,8 @@ class ThreadState(enum.Enum):
     EXITED = "exited"
 
 
+_EXITED = ThreadState.EXITED
+
 _ids = itertools.count(1)
 
 
@@ -76,6 +78,9 @@ class SimThread:
         # Extra compute injected before the next resume; used to model the
         # per-call overhead of pBox operations without littering app code.
         self.overhead_us = 0
+        # Sub-microsecond remainder of pBox runtime charges, carried to
+        # this thread's next charge (repro.core.runtime).
+        self.pbox_residue_ns = 0
 
         # Priority-penalty extension: while demoted, the scheduler only
         # runs this thread when no normal thread is runnable.
@@ -96,7 +101,7 @@ class SimThread:
     @property
     def alive(self):
         """True until the thread body returns or raises StopIteration."""
-        return self.state is not ThreadState.EXITED
+        return self.state is not _EXITED
 
     def __repr__(self):
         return "SimThread(tid=%d, name=%r, state=%s)" % (

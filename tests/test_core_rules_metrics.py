@@ -1,6 +1,10 @@
 """Tests for isolation rules and the per-pBox interference metrics."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import IsolationRule, PBoxManager, StateEvent
 from repro.core.pbox import ActivityRecord, PBox
@@ -120,3 +124,85 @@ def test_history_window_bounded():
     assert len(pbox.history) == PBox.HISTORY_WINDOW
     # Oldest records were evicted: the first remaining defer is 200-64.
     assert pbox.history[0].defer_us == 200 - PBox.HISTORY_WINDOW
+
+
+def naive_average_interference(history):
+    """Reference: two full sums over the window on every call."""
+    td = sum(rec.defer_us for rec in history)
+    te = sum(rec.exec_us for rec in history)
+    if td <= 0:
+        return 0.0
+    if te <= td:
+        return float("inf")
+    return td / (te - td)
+
+
+@st.composite
+def activity_sequences(draw):
+    """Activity records (defer, exec, via_freeze) overflowing the window.
+
+    Per-sequence bounds of 0 reach both edges of the level formula: no
+    defer at all (level 0.0) and defer >= exec (level inf).
+    """
+    defer_max = draw(st.sampled_from([0, 10, 1_000, 100_000]))
+    exec_max = draw(st.sampled_from([0, 10, 1_000, 100_000]))
+    return draw(st.lists(
+        st.tuples(st.integers(0, defer_max), st.integers(0, exec_max),
+                  st.booleans()),
+        min_size=PBox.HISTORY_WINDOW + 1,
+        max_size=3 * PBox.HISTORY_WINDOW))
+
+
+@settings(max_examples=60, deadline=None)
+@given(activity_sequences())
+@example([(0, 1_000, True)] * (PBox.HISTORY_WINDOW + 5))
+@example([(500, 0, False)] * (PBox.HISTORY_WINDOW + 5))
+@example([(700, 500, True), (0, 900, False)] * PBox.HISTORY_WINDOW)
+def test_running_sum_window_matches_naive_sums(records):
+    """The O(1) window level equals the two-sum reference at every step.
+
+    Records arrive both through ``PBoxManager.freeze`` and by direct
+    ``history.append``; the running sums must track evictions exactly.
+    """
+    kernel = Kernel(cores=1)
+    manager = PBoxManager(kernel)
+    pbox = manager.create(IsolationRule(isolation_level=50))
+    for defer_us, exec_us, via_freeze in records:
+        if via_freeze:
+            manager.activate(pbox)
+            pbox.defer_time_us = defer_us
+            kernel.clock.advance_to(kernel.now_us + exec_us)
+            manager.freeze(pbox)
+        else:
+            pbox.history.append(ActivityRecord(defer_us, exec_us))
+        assert pbox.history[-1].defer_us == defer_us
+        assert pbox.history[-1].exec_us == exec_us
+        assert (pbox.average_interference_level()
+                == naive_average_interference(pbox.history))
+    assert len(pbox.history) == PBox.HISTORY_WINDOW
+
+
+def test_history_window_copies_keep_sums():
+    pbox = make_pbox([(i, 1_000 + i) for i in range(100)])
+    expected = naive_average_interference(pbox.history)
+    for clone in (copy.copy(pbox.history), copy.deepcopy(pbox.history),
+                  pickle.loads(pickle.dumps(pbox.history))):
+        assert clone.maxlen == PBox.HISTORY_WINDOW
+        assert (clone.defer_sum, clone.exec_sum) == (
+            pbox.history.defer_sum, pbox.history.exec_sum)
+        holder = make_pbox([])
+        holder.history = clone
+        assert holder.average_interference_level() == expected
+    pbox.history.clear()
+    assert pbox.average_interference_level() == 0.0
+    assert (pbox.history.defer_sum, pbox.history.exec_sum) == (0, 0)
+
+
+def test_history_window_rejects_unsummed_mutators():
+    pbox = make_pbox([(10, 100), (20, 200)])
+    for mutate in (lambda h: h.pop(), lambda h: h.popleft(),
+                   lambda h: h.appendleft(ActivityRecord(1, 2)),
+                   lambda h: h.__setitem__(0, ActivityRecord(1, 2))):
+        with pytest.raises(TypeError):
+            mutate(pbox.history)
+    assert (pbox.history.defer_sum, pbox.history.exec_sum) == (30, 300)

@@ -218,3 +218,38 @@ def test_fractional_costs_accumulate():
     kernel.spawn(body)
     kernel.run()
     assert out["t"] == 102
+
+
+def test_sub_microsecond_residue_carries_per_thread():
+    """Charges below 1 us carry on the charged thread, not in a map."""
+    kernel = Kernel(cores=2)
+    manager = PBoxManager(kernel)
+    costs = OperationCosts(create_ns=600, activate_ns=0, freeze_ns=0,
+                           release_ns=0, bind_ns=0, unbind_ns=0,
+                           update_ns=0, update_contended_ns=0, library_ns=0)
+    runtime = PBoxRuntime(manager, costs=costs)
+    rule = IsolationRule(isolation_level=50)
+    seen = {}
+
+    def twice():
+        thread = kernel.current_thread
+        runtime.create_pbox(rule)
+        seen["after_one"] = (thread.overhead_us, thread.pbox_residue_ns)
+        runtime.create_pbox(rule)
+        seen["twice"] = (thread.overhead_us, thread.pbox_residue_ns)
+        yield Compute(us=1)
+
+    def once():
+        thread = kernel.current_thread
+        runtime.create_pbox(rule)
+        seen["once"] = (thread.overhead_us, thread.pbox_residue_ns)
+        yield Compute(us=1)
+
+    kernel.spawn(twice, name="twice")
+    kernel.spawn(once, name="once")
+    kernel.run()
+    assert seen["after_one"] == (0, 600)
+    # 2 x 600 ns = 1 us charged, 200 ns carried to the next charge.
+    assert seen["twice"] == (1, 200)
+    # The other thread's residue starts from zero: residues never mix.
+    assert seen["once"] == (0, 600)

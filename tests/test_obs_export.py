@@ -1,12 +1,16 @@
 """Tests for the span recorder and Chrome trace-event exporter."""
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cases import Solution, get_case, run_case
 from repro.core import IsolationRule, PBoxManager, StateEvent
 from repro.core.trace import PBoxTracer
 from repro.obs import (
+    FoldedProfile,
     SpanRecorder,
     chrome_trace,
     chrome_trace_events,
@@ -14,6 +18,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.sim import Kernel, Sleep
+from repro.sim.thread import reset_thread_ids
 
 
 def run_interference_scenario():
@@ -155,6 +160,55 @@ def test_recorder_truncates_at_cap():
     assert recorder.event_count == 5
     obj = chrome_trace(recorder)
     assert "truncated" in obj["otherData"]
+
+
+def test_recorder_truncates_flow_appends_at_cap():
+    # Flow starts count toward the cap too: req.begin appends one per
+    # request, pbox.detect an instant plus a flow start.
+    kernel = Kernel(cores=1)
+    recorder = SpanRecorder(max_events=4).attach(kernel.trace)
+    begin = kernel.trace.point("req.begin")
+    detect = kernel.trace.point("pbox.detect")
+    noisy, victim = SimpleNamespace(psid=1), SimpleNamespace(psid=2)
+    for rid in range(2):
+        begin.fire(rid, tid=7, rid=rid)
+    assert recorder.truncated is False
+    detect.fire(10, noisy=noisy, victim=victim, key="res", flow=1)
+    assert recorder.truncated is False
+    assert recorder.event_count == 4     # 2 req flows + instant + flow
+    detect.fire(11, noisy=noisy, victim=victim, key="res", flow=2)
+    begin.fire(12, tid=7, rid=9)
+    assert recorder.truncated is True
+    assert recorder.event_count == recorder.max_events
+    assert len(recorder.flow_starts) == 3
+    assert recorder.paired_flows() == set()
+
+
+#: sha256 of the canonical JSON of c5's Chrome trace events and of its
+#: folded profile lines (pBox, seed 1, 2 s, CPU slices recorded).  They
+#: pin the recorder's whole output: any change to what it records, or
+#: in what order, moves them.
+C5_CHROME_EVENTS_SHA256 = (
+    "bc12a9febe83792ec6de4403e7edc5a987d036af244734f60fa0f6b23b8a8ccd")
+C5_FOLDED_LINES_SHA256 = (
+    "c798849ed8242937ddbc0842bb5cfa3c164b19e491bec961aada90964e2b1b13")
+
+
+def _sha256_json(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_recorder_output_pinned_on_c5():
+    reset_thread_ids()   # tids appear in the trace; start from 1
+    recorder = SpanRecorder(record_slices=True)
+    run_case(get_case("c5"), Solution.PBOX, duration_s=2, seed=1,
+             observer=lambda env: recorder.attach(env.kernel.trace))
+    assert recorder.truncated is False
+    assert _sha256_json(chrome_trace_events(recorder)) \
+        == C5_CHROME_EVENTS_SHA256
+    folded = list(FoldedProfile.from_recorder(recorder).folded_lines())
+    assert _sha256_json(folded) == C5_FOLDED_LINES_SHA256
 
 
 def test_recorder_detach_stops_recording():
