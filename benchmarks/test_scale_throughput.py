@@ -18,9 +18,9 @@ rather than described:
    across the whole sweep (10 -> 1,000 pBoxes, 100x) the per-event
    cost may grow at most :data:`SWEEP_GROWTH_CEILING` x.
 3. **manager overhead fraction** -- relative overhead at the top of
-   the sweep must not exceed the bottom: with dirty-set scans,
-   per-tenant shards and batched penalty arming, a 100x bigger
-   population may not cost a larger *fraction* of the run.
+   the sweep must not exceed the bottom: with inline freeze-time
+   detection, per-tenant shards and batched penalty arming, a 100x
+   bigger population may not cost a larger *fraction* of the run.
 
 The full sweep (100 -> 10,000 threads) is recorded to
 ``results/SCALE.json`` for ``repro report``; under ``REPRO_SMOKE`` a

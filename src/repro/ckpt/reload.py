@@ -8,8 +8,7 @@ barrier -- plus one penalty-lifetime invariant: **no penalty outlives
 the rule that armed it**.  A reload that changes a pBox's rule flushes
 that pBox's penalty machinery:
 
-- a pending (not yet delivered) delay penalty is dropped and its
-  budget reservation released;
+- a pending (not yet delivered) delay penalty is dropped;
 - an open shared-thread defer window is clamped to *now*;
 - a priority-mode demotion is lifted;
 - the heal trends and safe-mode cooldowns keyed by the pBox are
@@ -118,8 +117,6 @@ class RuleReloader:
     def _flush(shard, pbox, now_us):
         """Retire every penalty armed under the pBox's previous rule."""
         if pbox.pending_penalty_us > 0:
-            if shard.penalty_budget is not None:
-                shard.penalty_budget.release(pbox.pending_penalty_us)
             pbox.pending_penalty_us = 0
             pbox.pending_penalty_flow = None
         if pbox.penalty_until_us > now_us:

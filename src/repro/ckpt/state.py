@@ -4,7 +4,7 @@ A *walk* is a JSON-safe, deterministically-ordered rendering of every
 piece of observable simulation state: the kernel (clock, run queues,
 timer wheel entries, futex waiters, cgroups, per-thread accounting, RNG
 stream fingerprints, penalty-armer buckets) and the complete pBox layer
-(manager or sharded facade, pBoxes, heal trends, penalty budget).
+(manager or sharded facade, pBoxes, heal trends, pending penalties).
 
 Walker purity rule
 ------------------
@@ -26,8 +26,10 @@ from repro.obs.golden import canonical_value
 
 #: Schema version of state walks (bump when any walker changes shape;
 #: stored checkpoints from other schemas must be rejected, never
-#: reinterpreted).
-STATE_SCHEMA = 1
+#: reinterpreted).  Schema 2 drops three manager-walk keys -- the scan
+#: mode, the detection dirty set and the shared penalty budget -- with
+#: the mechanisms they rendered.
+STATE_SCHEMA = 2
 
 
 def walk_state(kernel, manager):

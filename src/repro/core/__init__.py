@@ -22,7 +22,6 @@ from repro.core.penalty import (
     PenaltyPolicy,
 )
 from repro.core.manager import PBoxManager
-from repro.core.budget import PenaltyBudget
 from repro.core.shards import ShardedPBoxManager
 from repro.core.runtime import BindFlag, OperationCosts, PBoxRuntime
 
@@ -36,7 +35,6 @@ __all__ = [
     "PBoxManager",
     "PBoxRuntime",
     "PBoxStatus",
-    "PenaltyBudget",
     "PenaltyDecision",
     "PenaltyPolicy",
     "RuleType",

@@ -90,8 +90,7 @@ class PBoxManager:
                  heal_max_backoff=5, heal_min_actions=6,
                  heal_cooldown_us=1_000_000,
                  heal_pending_timeout_us=1_000_000,
-                 scan_policy="eager", psid_alloc=None,
-                 penalty_budget=None, register_resume_hook=True):
+                 psid_alloc=None, register_resume_hook=True):
         self.kernel = kernel
         self.penalty_engine = penalty_engine or AdaptivePenalty()
         self.near_goal_fraction = near_goal_fraction
@@ -141,17 +140,6 @@ class PBoxManager:
         # and creation-ordered no matter which shard creates a pBox.
         self._psid_alloc = psid_alloc if psid_alloc is not None \
             else itertools.count(1)
-        # Scan policy (docs/PERFORMANCE.md): "eager" evaluates each
-        # pBox inline at its own freeze -- the finest-grained dirty-set
-        # scan, byte-identical to the historical inline detection;
-        # "deferred" only marks the dirty set and leaves evaluation to
-        # explicit scan() calls (batch drains in sorted-psid order).
-        if scan_policy not in ("eager", "deferred"):
-            raise ValueError("unknown scan policy %r" % (scan_policy,))
-        self.scan_policy = scan_policy
-        # Shared penalty budget (PenaltyBudget or None=unlimited):
-        # caps the application-wide outstanding delay-penalty time.
-        self.penalty_budget = penalty_budget
         self.competitor_map = {}     # resource key -> [CompetitorEntry]
         self.last_releaser = {}      # resource key -> (psid, time_us)
         # Inverted holder index: resource key -> {psid: PBox}.  Kept in
@@ -190,32 +178,17 @@ class PBoxManager:
             "penalty_clamped": 0,
             "penalty_reverts": 0,
         }
-        # Detection dirty set (ROADMAP item 1, landed): psids touched
-        # by state events or freezes since the last scan drain.  scan()
-        # consumes it -- detection work is proportional to this set,
-        # never to the registered-pBox population.  Kept out of
-        # ``stats`` deliberately: golden documents pin that dict.
-        self.dirty_psids = set()
         # Observability window set: psids touched since the telemetry
-        # pipeline's last drain_active().  Separate from the detection
-        # set so a 100ms gauge drain can never starve (or double-feed)
-        # the detector, and vice versa.
+        # pipeline's last drain_active().
         self.active_psids = set()
-        # Scan accounting -- also deliberately outside ``stats``.
+        # Detection accounting, kept out of ``stats`` deliberately:
+        # golden documents pin that dict.
         self.scan_stats = {
-            "scans": 0,           # scan passes (incl. eager per-freeze)
+            "scans": 0,           # freeze-time detection passes
             "evaluated": 0,       # pBoxes run through freeze detection
-            "skipped_clean": 0,   # drained psids not frozen/evaluable
-            "peak_dirty": 0,      # largest dirty set seen at a drain
         }
         if register_resume_hook:
             kernel.add_resume_hook(self._resume_hook)
-
-    def drain_dirty(self):
-        """Return and reset the detector's dirty set (scan work queue)."""
-        dirty = self.dirty_psids
-        self.dirty_psids = set()
-        return dirty
 
     def drain_active(self):
         """Return and reset the telemetry window's active-psid set."""
@@ -309,62 +282,14 @@ class PBoxManager:
         if self._tp_freeze.active:
             self._tp_freeze.fire(now, psid=psid, defer_us=defer_us,
                                  exec_us=exec_us)
-        # A freeze dirties the pBox: it is the state change freeze-time
-        # detection exists for, and marking it here guarantees a
-        # deferred scan always re-evaluates a pBox whose activity ended
-        # after the last drain -- even if no state event fired since.
-        self.dirty_psids.add(psid)
         self.active_psids.add(psid)
-        if self.enabled and self.scan_policy == "eager":
-            # Eager mode: a one-psid dirty-set scan triggered by this
-            # freeze.  Evaluating exactly the frozen pBox here is
-            # byte-identical to the historical inline detection (the
-            # golden corpus pins it); deferred mode leaves the set to
-            # accumulate for a batched scan() drain.
-            self.dirty_psids.discard(psid)
+        if self.enabled:
+            # pBox-level detection runs inline at the end of each
+            # activity, on exactly the frozen pBox: its cost never
+            # depends on the registered-pBox population.
             self.scan_stats["scans"] += 1
             self.scan_stats["evaluated"] += 1
             self._pbox_level_detection(pbox)
-
-    def scan(self, full=False):
-        """Run freeze-time detection over the dirty set; return count.
-
-        Drains ``dirty_psids`` and evaluates its *frozen* members in
-        sorted-psid order -- deterministic no matter what order events
-        dirtied them.  Cost is O(dirty set), never O(registered
-        pBoxes): a quiescent pBox is never re-visited.  Dirty psids
-        that are not frozen (mid-activity, or already released) are
-        skipped; their own freeze re-marks them, so nothing is lost.
-
-        ``full=True`` is the reference full-population scan: evaluate
-        every registered pBox regardless of dirtiness.  It exists for
-        the equivalence property tests (dirty-set verdicts must match
-        it exactly); production paths never use it.
-        """
-        if not self.enabled:
-            self.dirty_psids = set()
-            return 0
-        if full:
-            pending = sorted(self._pboxes)
-            self.dirty_psids = set()
-        else:
-            dirty = self.dirty_psids
-            self.dirty_psids = set()
-            pending = sorted(dirty)
-        stats = self.scan_stats
-        stats["scans"] += 1
-        if len(pending) > stats["peak_dirty"]:
-            stats["peak_dirty"] = len(pending)
-        evaluated = 0
-        for psid in pending:
-            pbox = self._pboxes.get(psid)
-            if pbox is None or pbox.status is not _FROZEN:
-                stats["skipped_clean"] += 1
-                continue
-            self._pbox_level_detection(pbox)
-            evaluated += 1
-        stats["evaluated"] += evaluated
-        return evaluated
 
     def bind(self, pbox, thread, shared=False):
         """Bind ``pbox`` to ``thread`` (ownership transfer APIs)."""
@@ -406,7 +331,7 @@ class PBoxManager:
         """Process one state event (the kernel side of update_pbox)."""
         self.stats["events"] += 1
         now = self.kernel.clock.now_us
-        # Fire before marking the dirty/active sets: a subscriber's
+        # Fire before marking the active set: a subscriber's
         # window roll (telemetry) must close the outgoing window
         # *without* this event's psid -- an event landing exactly on a
         # window boundary belongs to the new window, and marking first
@@ -414,7 +339,6 @@ class PBoxManager:
         if self._tp_event.active:
             self._tp_event.fire(now, pbox=pbox, key=key, event=event)
         psid = pbox.psid
-        self.dirty_psids.add(psid)
         self.active_psids.add(psid)
 
         if event is _PREPARE:
@@ -591,17 +515,6 @@ class PBoxManager:
         length_us = min(decision.length_us, self.penalty_cap_us)
         if backoff:
             length_us >>= backoff
-        if (self.penalty_budget is not None and not noisy.shared_thread
-                and self.penalty_mode == "delay"):
-            # Shared budget across every shard of the application: the
-            # outstanding delay-penalty time is bounded no matter how
-            # many tenants detect at once.  A partial grant shortens
-            # the penalty; an empty one drops the action (the budget
-            # counts the denial -- manager ``stats`` keys are pinned
-            # by the golden corpus and must not grow).
-            length_us = self.penalty_budget.reserve(length_us)
-            if length_us <= 0:
-                return
         self.stats["actions"] += 1
         noisy.penalties_received += 1
         noisy.penalty_total_us += length_us
@@ -727,9 +640,6 @@ class PBoxManager:
             # decisions, so this is a misfire (or an injected fault).
             # Bound it rather than parking the thread for an unbounded
             # stretch -- "penalties always bounded" is an invariant.
-            if self.penalty_budget is not None:
-                self.penalty_budget.release(
-                    pbox.pending_penalty_us - self.penalty_cap_us)
             pbox.pending_penalty_us = self.penalty_cap_us
             self.stats["penalty_clamped"] += 1
             if self._tp_heal.active:
@@ -744,17 +654,10 @@ class PBoxManager:
                     # pBox re-acquires before every resume): decay the
                     # stuck penalty toward a full revert instead of
                     # letting it shadow the pBox forever.
-                    decayed = pbox.pending_penalty_us >> 1
-                    if self.penalty_budget is not None:
-                        self.penalty_budget.release(
-                            pbox.pending_penalty_us - decayed)
-                    pbox.pending_penalty_us = decayed
+                    pbox.pending_penalty_us >>= 1
                     pbox.pending_since_us = now
                     self.stats["penalty_reverts"] += 1
                     if pbox.pending_penalty_us < 1_000:
-                        if self.penalty_budget is not None:
-                            self.penalty_budget.release(
-                                pbox.pending_penalty_us)
                         pbox.pending_penalty_us = 0
                         pbox.pending_penalty_flow = None
                     if self._tp_heal.active:
@@ -764,8 +667,6 @@ class PBoxManager:
             return 0  # Section 4.4.1: never delay a resource holder
         delay = pbox.pending_penalty_us
         pbox.pending_penalty_us = 0
-        if self.penalty_budget is not None:
-            self.penalty_budget.release(delay)
         self.stats["penalties_applied"] += 1
         self.stats["penalty_applied_us"] += delay
         if self._tp_penalty.active:
@@ -790,10 +691,8 @@ class PBoxManager:
         """
         return {
             "enabled": self.enabled,
-            "scan_policy": self.scan_policy,
             "stats": dict(self.stats),
             "scan_stats": dict(self.scan_stats),
-            "dirty_psids": sorted(self.dirty_psids),
             "active_psids": sorted(self.active_psids),
             "safe_until": sorted(self._safe_until.items()),
             "heal_trend": sorted(
@@ -813,6 +712,4 @@ class PBoxManager:
                 for key, holders in self._key_holders.items()),
             "pboxes": [self._pboxes[psid].snapshot_state(label)
                        for psid in sorted(self._pboxes)],
-            "budget": (None if self.penalty_budget is None
-                       else self.penalty_budget.snapshot_state()),
         }

@@ -16,9 +16,6 @@ What shards share -- the application-global pieces:
 
 - the **psid allocator**, so psids stay unique and creation-ordered
   across shards (golden traces render pBoxes by psid);
-- the **penalty budget** (:class:`~repro.core.budget.PenaltyBudget`),
-  bounding the app-wide outstanding penalty time no matter how many
-  shards detect at once;
 - one **resume-hook router** on the kernel: penalties are delivered by
   the owning shard, looked up through the pBox itself (O(1), no
   broadcast over shards).
@@ -70,22 +67,18 @@ class ShardedPBoxManager:
     shard_of:
         ``shard_of(thread) -> key`` mapping a pBox's thread to its
         shard; defaults to :func:`tenant_shard`.
-    penalty_budget:
-        Shared :class:`~repro.core.budget.PenaltyBudget`; ``None``
-        leaves penalties unbudgeted (plain-manager behavior).
     manager_kwargs:
         Forwarded to every shard's ``PBoxManager`` (penalty_engine,
-        scan_policy, ablation switches, ...).  A shared
-        ``penalty_engine`` instance is fine: its adaptation state is
-        keyed by (noisy psid, key), which never collides across shards.
+        ablation switches, ...).  A shared ``penalty_engine`` instance
+        is fine: its adaptation state is keyed by (noisy psid, key),
+        which never collides across shards.
     """
 
     def __init__(self, kernel, shard_of=None, enabled=True,
-                 penalty_budget=None, **manager_kwargs):
+                 **manager_kwargs):
         self.kernel = kernel
         self.enabled = enabled
         self.shard_of = shard_of or tenant_shard
-        self.penalty_budget = penalty_budget
         self._manager_kwargs = manager_kwargs
         self._psid_alloc = itertools.count(1)
         self._shards = {}        # shard key -> PBoxManager
@@ -102,7 +95,6 @@ class ShardedPBoxManager:
             shard = PBoxManager(
                 self.kernel, enabled=self.enabled,
                 psid_alloc=self._psid_alloc,
-                penalty_budget=self.penalty_budget,
                 register_resume_hook=False,
                 **self._manager_kwargs)
             for patch in self._shard_patches:
@@ -191,17 +183,6 @@ class ShardedPBoxManager:
             return shard is not None and shard.contended(key, pbox)
         return any(shard.contended(key) for shard in self._shards.values())
 
-    def scan(self, full=False):
-        """Drain every shard's dirty set, in sorted shard order."""
-        return sum(self._shards[key].scan(full=full)
-                   for key in sorted(self._shards))
-
-    def drain_dirty(self):
-        dirty = set()
-        for shard in self._shards.values():
-            dirty |= shard.drain_dirty()
-        return dirty
-
     def drain_active(self):
         active = set()
         for shard in self._shards.values():
@@ -217,14 +198,7 @@ class ShardedPBoxManager:
         shard = self._pbox_shard.get(pbox.psid)
         return shard is not None and shard.is_task_deferred(pbox)
 
-    def make_queue_admission(self, pbox_of_item):
-        def admission(item):
-            pbox = pbox_of_item(item)
-            if pbox is None:
-                return True
-            return not self.is_task_deferred(pbox)
-
-        return admission
+    make_queue_admission = PBoxManager.make_queue_admission
 
     # -- aggregate views -------------------------------------------------
 
@@ -248,14 +222,11 @@ class ShardedPBoxManager:
 
     @property
     def scan_stats(self):
-        total = {"scans": 0, "evaluated": 0, "skipped_clean": 0,
-                 "peak_dirty": 0}
+        """Shard detection counters summed into one plain dict."""
+        total = {"scans": 0, "evaluated": 0}
         for shard in self._shards.values():
             for name, value in shard.scan_stats.items():
-                if name == "peak_dirty":
-                    total[name] = max(total[name], value)
-                else:
-                    total[name] += value
+                total[name] += value
         return total
 
     @property
@@ -282,8 +253,6 @@ class ShardedPBoxManager:
             "pbox_shard": sorted(
                 (psid, shard_keys[id(shard)])
                 for psid, shard in self._pbox_shard.items()),
-            "budget": (None if self.penalty_budget is None
-                       else self.penalty_budget.snapshot_state()),
         }
 
     def __repr__(self):

@@ -50,7 +50,7 @@ SERIES_COLUMNS = (
     "penalties",     # pbox.penalty deliveries
     "penalty_us",    # total penalty delay delivered
     "events",        # pbox.event volume (manager pipeline pressure)
-    "active",        # active-set size (dirty pBoxes this window)
+    "active",        # active-set size (pBoxes touched this window)
     "breached",      # tenants latched in breach at window close
 )
 
@@ -137,15 +137,14 @@ class TelemetryPipeline:
     # -- attachment ------------------------------------------------------
 
     def attach(self, bus, manager=None):
-        """Subscribe to the bus; optionally bind the manager's dirty set.
+        """Subscribe to the bus; optionally bind the manager's active set.
 
         With ``manager`` given (a :class:`~repro.core.manager.PBoxManager`
         or the sharded facade), the per-window active-set gauge drains
-        the manager's window set (``drain_active()``) -- the same
-        psid-marking the dirty-set scan consumes, kept in a separate
-        set so the 100ms gauge drain and the detector never steal from
-        each other; without a manager, the gauge falls back to the
-        pBoxes seen in ``pbox.event`` traffic.
+        the manager's window set (``drain_active()``): the psids state
+        events and freezes touched since the last drain.  Without a
+        manager, the gauge falls back to the pBoxes seen in
+        ``pbox.event`` traffic.
         """
         handlers = {
             "sched.enqueue": self._on_enqueue,

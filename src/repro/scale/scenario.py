@@ -28,7 +28,6 @@ from repro.apps.varnishsim import VarnishConfig, VarnishServer
 from repro.core import (
     OperationCosts,
     PBoxRuntime,
-    PenaltyBudget,
     ShardedPBoxManager,
 )
 from repro.sim import Kernel
@@ -38,13 +37,6 @@ from repro.workloads.traces import sample_duration
 
 #: Worker threads per tenant (one of which is the connection client).
 WORKERS_PER_TENANT = 20
-
-#: Shared penalty budget per scale run: at most this much outstanding
-#: delay-penalty time across all tenant shards at once.  Sized at 24
-#: cap-length penalties -- far above what the sweep ever reserves (the
-#: per-point ``budget_denied`` column proves it never binds), so it
-#: bounds pathological pile-ups without steering the measured runs.
-PENALTY_BUDGET_US = 24 * 5_000_000
 
 #: Approximate uncontended request latency per (app kind, role), used
 #: as the slowdown denominator for SLO telemetry.  Derived from the
@@ -351,19 +343,17 @@ def build_scale_scenario(spec, kernel_binder=None, telemetry=None):
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryPipeline`),
     when given, is attached to the kernel's bus (bound to the manager's
-    dirty set) and every connection's request counter mirrors into it,
-    tagged ``t<N>`` with the role's nominal latency as the slowdown
-    denominator.
+    active-psid set) and every connection's request counter mirrors
+    into it, tagged ``t<N>`` with the role's nominal latency as the
+    slowdown denominator.
     """
     kernel = Kernel(cores=spec.cores, seed=spec.seed,
                     sched=getattr(spec, "sched", "cfs"))
     # Per-tenant shards behind one facade: every tenant's resource keys
     # are shard-local by construction (each tenant gets its own server
     # instance), so detection state stays tenant-sized while the psid
-    # space and the penalty budget remain app-wide.
-    manager = ShardedPBoxManager(
-        kernel, enabled=spec.manager_enabled,
-        penalty_budget=PenaltyBudget(cap_us=PENALTY_BUDGET_US))
+    # space remains app-wide.
+    manager = ShardedPBoxManager(kernel, enabled=spec.manager_enabled)
     runtime = PBoxRuntime(manager, costs=OperationCosts(),
                           enabled=spec.manager_enabled)
     if kernel_binder is not None:

@@ -32,7 +32,10 @@ from repro.scale.scenario import ScaleSpec, build_scale_scenario
 #: ``families``, plus per-point ``family_requests`` (requests per
 #: tenant family, manager-on run); older consumers must treat all
 #: three as absent (the report renders them defensively).
-SCALE_SCHEMA = 4
+#: Schema 5 drops ``budget_denied``: the shared penalty budget it
+#: counted is gone (it read 0 at every shipped point).  The field
+#: stays in the glossary for older artifacts.
+SCALE_SCHEMA = 5
 
 #: Field glossary for SCALE.json, mirrored (both directions) by the
 #: glossary table in docs/PERFORMANCE.md -- ``tools/check_docs.py``
@@ -70,9 +73,10 @@ SCALE_FIELDS = {
     "detections": "pbox-level detections that found a culprit",
     "penalties_applied": "delay penalties actually delivered",
     "shards": "per-tenant manager shards created",
-    "scans": "dirty-set scans executed across shards",
-    "scanned": "pBoxes evaluated by those scans",
-    "budget_denied": "penalty reservations denied by the shared budget",
+    "scans": "freeze-time detection passes across shards",
+    "scanned": "pBoxes evaluated by those passes",
+    "budget_denied": "schema <= 4 artifacts only: penalty reservations "
+                     "denied by the removed shared budget",
 }
 
 #: Per-point byte budget for the telemetry section, sized so a full
@@ -185,7 +189,6 @@ def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,
     manager_cost_s = max(0.0, wall_s - base_wall_s)
     manager_stats = dict(scenario.manager.stats)
     scan_stats = dict(scenario.manager.scan_stats)
-    budget = scenario.manager.penalty_budget
     point = {
         "threads": spec.threads,
         "tenants": spec.tenants,
@@ -211,7 +214,6 @@ def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,
             "shards": scenario.manager.shard_count,
             "scans": scan_stats.get("scans", 0),
             "scanned": scan_stats.get("evaluated", 0),
-            "budget_denied": budget.stats["denied"] if budget else 0,
         },
         "baseline_requests": base_scenario.total_requests(),
     }

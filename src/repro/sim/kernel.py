@@ -197,12 +197,8 @@ class Kernel:
         self.sched = sched
         self.run_queue = make_run_queue(sched)
         self.run_queue._now = lambda: self.clock.now_us
-        # Policy capabilities, read once: whether _dispatch may use the
-        # inlined head-of-queue shortcut, and the optional slice-end
-        # virtual-runtime accounting hook.  For the default FIFO policy
-        # these resolve to (True, None) and the hot paths are the same
-        # decisions as before the seam -- the golden corpus pins it.
-        self._fifo_fast_path = self.run_queue.fifo_fast_path
+        # Optional slice-end virtual-runtime accounting hook, read once
+        # (None for the FIFO policy, whose slice end then pays nothing).
         self._sched_charge = getattr(self.run_queue, "charge", None)
         # Observability: the tracepoint bus every layer fires into.
         # Firing sites pre-fetch their Tracepoint and guard on its
@@ -499,32 +495,17 @@ class Kernel:
             return
         run_queue = self.run_queue
         queue = run_queue._queue
+        pick = run_queue.pick_for_core
         cores = self.cores
-        fifo = self._fifo_fast_path
         while mask and queue:
             idx = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             core = cores[idx]
             if core.running is not None:
                 continue
-            if fifo:
-                # Inlined pick_for_core fast path: head thread
-                # unconstrained, core unreserved -- the common case at
-                # every scale point.  Only valid for the FIFO policy;
-                # deadline policies always go through pick_for_core.
-                head = queue[0]
-                if (core.reserved_for is None and head.affinity is None
-                        and not head.demoted_until_us):
-                    queue.popleft()
-                    thread = head
-                else:
-                    thread = run_queue.pick_for_core(core)
-                    if thread is None:
-                        continue
-            else:
-                thread = run_queue.pick_for_core(core)
-                if thread is None:
-                    continue
+            thread = pick(core)
+            if thread is None:
+                continue
             self._start_slice(core, thread)
 
     def _start_slice(self, core, thread):

@@ -17,16 +17,13 @@ Two scheduler policies live behind one seam (:class:`SchedPolicy`):
   threads.
 
 Both policies expose the same protocol (``push`` / ``push_front`` /
-``pick_for_core`` / ``remove`` / ``threads``) plus two capability
-attributes the kernel reads once at construction:
-
-- ``fifo_fast_path``: True when the kernel's inlined head-of-queue
-  dispatch shortcut is behaviourally identical to ``pick_for_core``
-  (true only for the FIFO policy).  The CFS hot path is untouched by
-  the seam -- the golden corpus pins that bit-for-bit.
-- ``charge(thread, ran_us)`` (optional): invoked at every slice end
-  with the CPU actually consumed, so a policy can account virtual
-  runtime.  Policies without the attribute pay nothing.
+``pick_for_core`` / ``remove`` / ``threads``); the kernel dispatches
+every slice through ``pick_for_core``.  One capability is optional and
+read once at kernel construction: ``charge(thread, ran_us)``, invoked
+at every slice end with the CPU actually consumed, so a policy can
+account virtual runtime.  Policies without the attribute pay nothing,
+which keeps the CFS hot path untouched by the seam -- the golden
+corpus pins that bit-for-bit.
 
 Determinism: a policy may only consult the thread fields the kernel
 maintains (never wall-clock or iteration order of a set), must break
@@ -81,11 +78,6 @@ class SchedPolicy:
     #: Policy name as selected by ``Kernel(sched=...)``.
     name = "base"
 
-    #: True when the kernel's inlined head-of-queue dispatch shortcut
-    #: (pop the head if it has no affinity, no demotion, and the core
-    #: has no reservation) is equivalent to ``pick_for_core``.
-    fifo_fast_path = False
-
     def __len__(self):
         return len(self._queue)
 
@@ -110,7 +102,6 @@ class RunQueue(SchedPolicy):
     """Global FIFO ready queue with affinity-aware picking (``cfs``)."""
 
     name = "cfs"
-    fifo_fast_path = True
 
     def __init__(self):
         self._queue = deque()
@@ -200,7 +191,6 @@ class EevdfRunQueue(SchedPolicy):
     """
 
     name = "eevdf"
-    fifo_fast_path = False
 
     def __init__(self, slice_us=DEFAULT_QUANTUM_US):
         self._queue = deque()

@@ -6,8 +6,7 @@ Three contracts:
   golden digest of a run that reloads at every barrier equals the
   committed corpus digest, and the epoch never moves;
 - an effective reload flushes every penalty armed under the old rule
-  (pending delay dropped and its budget released, defer window clamped,
-  demotion lifted) -- asserted both at the unit level against a stub
+  (pending delay dropped, defer window clamped, demotion lifted) -- asserted both at the unit level against a stub
   shard and end-to-end under a penalty-injecting chaos cocktail;
 - the penalty-lifetime invariant -- no penalty outlives the rule that
   armed it -- holds at every barrier and at the end of the chaos run.
@@ -19,7 +18,6 @@ import os
 import pytest
 
 from repro.ckpt import RuleReloader, checkpoint_run
-from repro.core.budget import PenaltyBudget
 from repro.core.rules import IsolationRule, Metric, RuleType
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -73,7 +71,6 @@ class _StubShard:
     def __init__(self, pboxes, now_us):
         self.kernel = _StubKernel(now_us)
         self._pboxes = {pbox.psid: pbox for pbox in pboxes}
-        self.penalty_budget = PenaltyBudget(cap_us=100_000)
         self._safe_until = {pbox.psid: now_us + 50_000 for pbox in pboxes}
         self._heal_trend = {(pbox.psid, "key"): object() for pbox in pboxes}
 
@@ -81,7 +78,6 @@ class _StubShard:
 def test_effective_reload_flushes_old_rule_penalties():
     pbox = _StubPBox(1, IsolationRule(isolation_level=50))
     shard = _StubShard([pbox], now_us=500_000)
-    shard.penalty_budget.reserve(pbox.pending_penalty_us)
     reloader = RuleReloader(shard)
 
     result = reloader.reload(IsolationRule(isolation_level=30))
@@ -92,7 +88,6 @@ def test_effective_reload_flushes_old_rule_penalties():
     # Penalty machinery of the old rule is fully retired:
     assert pbox.pending_penalty_us == 0
     assert pbox.pending_penalty_flow is None
-    assert shard.penalty_budget.outstanding_us == 0
     assert pbox.penalty_until_us == 500_000
     assert pbox.thread.demoted_until_us == 0
     assert pbox.psid not in shard._safe_until

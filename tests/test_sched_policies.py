@@ -1,26 +1,18 @@
-"""Scheduler-seam differential and EEVDF property tests.
+"""Scheduler-seam registry and EEVDF property tests.
 
-Two halves, matching the seam's two claims:
-
-1. **cfs is the pre-seam scheduler, bit for bit.**  Every pre-seam
-   golden case replays to its committed digest with the policy
-   selected *explicitly* (``sched="cfs"``) and the kernel's inlined
-   head-of-queue dispatch shortcut disabled -- so the differential
-   simultaneously proves that the seam's explicit selection equals the
-   default path and that :meth:`RunQueue.pick_for_core` is
-   behaviourally identical to the fast path it shadows.
-
-2. **eevdf honors its invariants under arbitrary schedules.**  The
-   queue-level hypothesis suite drives push / pick / charge
-   interleavings and pins: virtual clocks never move backwards,
-   per-thread eligibility/deadline stamps are monotone, picking is
-   work-conserving (a non-empty feasible queue always yields a
-   thread), and no thread starves (every continuously-runnable thread
-   is served within a bounded number of picks).  A full-kernel run
-   re-checks starvation end to end, and the committed c18/c20 golden
-   pair proves the policy actually diverges from cfs on a contended
-   case (a pin of a policy whose schedule never differs would be
-   vacuous).
+The cfs policy is pinned bit for bit by the golden corpus itself
+(tests/test_golden_traces.py replays every case through the one
+dispatch path, ``RunQueue.pick_for_core``).  This file covers the
+policy registry and the eevdf policy, which must honor its invariants
+under arbitrary schedules.  The queue-level hypothesis suite drives
+push / pick / charge interleavings and pins: virtual clocks never move
+backwards, per-thread eligibility/deadline stamps are monotone, picking
+is work-conserving (a non-empty feasible queue always yields a thread),
+and no thread starves (every continuously-runnable thread is served
+within a bounded number of picks).  A full-kernel run re-checks
+starvation end to end, and the committed c18/c20 golden pair proves the
+policy actually diverges from cfs on a contended case (a pin of a
+policy whose schedule never differs would be vacuous).
 """
 
 import json
@@ -29,12 +21,10 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.golden import first_divergence, run_golden_case
 from repro.sim.kernel import Kernel
 from repro.sim.scheduler import (
     Core,
     EevdfRunQueue,
-    RunQueue,
     SCHED_POLICIES,
     make_run_queue,
 )
@@ -43,64 +33,14 @@ from repro.sim.thread import ThreadState
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-#: The pre-seam corpus: the 17 cases that existed before the scheduler
-#: seam landed (their frozen digests live in test_golden_traces.py's
-#: PRE_SEAM_DIGESTS table; here the committed documents are the
-#: reference, so the two suites catch a drifting corpus from both
-#: ends).
-PRE_SEAM_CASES = tuple("c%d" % i for i in range(1, 18))
-
-#: Cheap, structurally diverse representatives kept in the fast loop
-#: (`pytest -m "not slow"`); the rest of the corpus carries a `slow`
-#: mark.  CI's sched-matrix job and the full tier-1 run execute the
-#: whole file, so all 17 differentials still gate every change.
-_FAST_DIFFERENTIAL_CASES = frozenset({"c1", "c3", "c5", "c14", "c17"})
-
-_DIFFERENTIAL_PARAMS = tuple(
-    case_id if case_id in _FAST_DIFFERENTIAL_CASES
-    else pytest.param(case_id, marks=pytest.mark.slow)
-    for case_id in PRE_SEAM_CASES
-)
-
 
 def _load_golden(case_id):
     with open(os.path.join(GOLDEN_DIR, "%s.json" % case_id)) as handle:
         return json.load(handle)
 
 
-# ---------------------------------------------------------------------------
-# Half 1: the cfs differential against the committed corpus.
-
-
-@pytest.mark.parametrize("case_id", _DIFFERENTIAL_PARAMS)
-def test_cfs_explicit_with_fast_path_disabled_matches_corpus(case_id):
-    """Explicit cfs + disabled dispatch shortcut == committed digest.
-
-    ``_fifo_fast_path = False`` forces every dispatch through
-    :meth:`RunQueue.pick_for_core`; a digest match therefore proves
-    the general scan and the inlined shortcut make identical decisions
-    on the full corpus, and that selecting ``cfs`` by name is the
-    default path.
-    """
-    golden = _load_golden(case_id)
-
-    def disable_fast_path(env):
-        env.kernel._fifo_fast_path = False
-
-    actual = run_golden_case(case_id, golden["duration_s"],
-                             golden["seed"], observer=disable_fast_path,
-                             sched="cfs")
-    assert first_divergence(golden, actual) is None, (
-        "cfs with the dispatch fast path disabled diverged from the "
-        "committed corpus on %s: pick_for_core is no longer equivalent "
-        "to the inlined shortcut" % case_id)
-    assert actual["digest"] == golden["digest"]
-
-
 def test_policy_registry_capabilities():
     assert sorted(SCHED_POLICIES) == ["cfs", "eevdf"]
-    assert RunQueue.fifo_fast_path is True
-    assert EevdfRunQueue.fifo_fast_path is False
     with pytest.raises(ValueError):
         make_run_queue("o1-lottery")
 
@@ -122,7 +62,7 @@ def test_eevdf_pin_diverges_from_cfs():
 
 
 # ---------------------------------------------------------------------------
-# Half 2: EEVDF queue-level invariants under hypothesis.
+# EEVDF queue-level invariants under hypothesis.
 
 
 class _FakeThread:

@@ -5,8 +5,8 @@ golden corpus replays bit-identically through it (every registry case,
 compared against ``tests/golden/`` -- the corpus itself is *not*
 regenerated for the sharded manager, that is the point).  On top of
 that, routing and aggregation have direct unit coverage: tenant-named
-threads land in tenant shards, psids stay globally ordered, stats sum
-across shards, and the shared budget is visible to every shard.
+threads land in tenant shards, psids stay globally ordered, and stats
+and drained psid sets combine across shards.
 """
 
 import json
@@ -14,12 +14,7 @@ import os
 
 import pytest
 
-from repro.core import (
-    IsolationRule,
-    PenaltyBudget,
-    ShardedPBoxManager,
-    StateEvent,
-)
+from repro.core import IsolationRule, ShardedPBoxManager, StateEvent
 from repro.core.shards import DEFAULT_SHARD, tenant_shard
 from repro.obs.golden import first_divergence, run_golden_case
 from repro.sim import Kernel, Sleep
@@ -120,31 +115,15 @@ def test_stats_sum_across_shards_and_match_plain_shape():
     assert scan["scans"] == 2 and scan["evaluated"] == 2
 
 
-def test_drains_union_and_scan_covers_all_shards():
+def test_drain_active_unions_all_shards():
     kernel = Kernel(cores=2)
-    manager = ShardedPBoxManager(kernel, scan_policy="deferred")
+    manager = ShardedPBoxManager(kernel)
     made = _spawn_named(kernel, manager, ["t0-oltp", "t1-oltp"])
-    for pbox in made.values():
-        manager.activate(pbox)
-        manager.freeze(pbox)
-    assert manager.scan() == 2               # both shards' dirty sets
-    assert manager.scan() == 0               # drained everywhere
     for pbox in made.values():
         manager.update(pbox, "k", StateEvent.HOLD)
     psids = {p.psid for p in made.values()}
-    assert manager.drain_dirty() == psids    # union over shards
-    assert manager.drain_active() == psids
+    assert manager.drain_active() == psids   # union over shards
     assert manager.drain_active() == set()
-
-
-def test_shared_budget_reaches_every_shard():
-    kernel = Kernel(cores=2)
-    budget = PenaltyBudget(cap_us=100)
-    manager = ShardedPBoxManager(kernel, penalty_budget=budget)
-    made = _spawn_named(kernel, manager, ["t0-oltp", "t1-oltp"])
-    for pbox in made.values():
-        shard = manager._pbox_shard[pbox.psid]
-        assert shard.penalty_budget is budget
 
 
 def test_shard_patch_applies_to_existing_and_future_shards():
@@ -169,11 +148,8 @@ def _corpus_case_ids():
 
 
 def _sharded_factory(kernel, enabled, penalty_engine):
-    # cap_us=None: the budget is a pure accounting shim, proving the
-    # reserve/release plumbing itself never perturbs behavior.
     return ShardedPBoxManager(kernel, enabled=enabled,
-                              penalty_engine=penalty_engine,
-                              penalty_budget=PenaltyBudget())
+                              penalty_engine=penalty_engine)
 
 
 @pytest.mark.parametrize("case_id", _corpus_case_ids())
